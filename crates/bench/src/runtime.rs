@@ -273,8 +273,7 @@ fn run_config(
         for (i, f) in flows.iter_mut().enumerate() {
             f.demand_gbps *= demand_jitter(epoch, i);
         }
-        let cfg = ProblemConfig { precompute_threads: threads, ..Default::default() };
-        let problem = TeProblem::with_config(net, &flows, &wl.tunnels, &wl.scenarios, cfg);
+        let problem = TeProblem::new(net, &flows, &wl.tunnels, &wl.scenarios);
         let mut solver = TeSolver::new(&problem)
             .beta(0.999)
             .method(SolveMethod::Heuristic)

@@ -76,8 +76,7 @@ pub mod prelude {
     pub use crate::eval::{AvailabilityEvaluator, AvailabilityReport, EvalConfig};
     pub use crate::gain::max_supported_scale;
     pub use crate::optimizer::{
-        ProblemConfig, SolveBudget, SolveMethod, SolverStats, TeProblem, TeSolution,
-        TeSolveError, TeSolver,
+        SolveBudget, SolveMethod, SolverStats, TeProblem, TeSolution, TeSolveError, TeSolver,
     };
     pub use crate::scenario::{
         DegradationState, EnumerationStats, FailureScenario, ScenarioBudget, ScenarioSet,
@@ -87,8 +86,8 @@ pub mod prelude {
         TeaVarScheme,
     };
     pub use prete_lp::{
-        BasisCache, ColdStart, ConfigError, EtaUpdate, NumericsEvent, Pricing,
-        RecoveryAction, SolutionQuality, SolverBackend, Tolerances,
+        BasisCache, ColdStart, EtaUpdate, NumericsEvent, Pricing, RecoveryAction,
+        SolutionQuality, SolverBackend,
     };
     pub use prete_obs::{Recorder, RunReport};
     pub use prete_optical::{Dataset, DatasetConfig, FailureModel};

@@ -203,13 +203,10 @@ impl<'a> Controller<'a> {
             };
             let problem = TeProblem::new(self.net, self.flows, &plan.tunnels, &scenarios);
             let mut cache = self.cache.borrow_mut();
-            let mut solver_b = TeSolver::new(&problem)
+            let mut solver_b = self
+                .te_solver(&problem)
                 .beta(0.99)
                 .method(SolveMethod::Heuristic)
-                .threads(self.threads)
-                .backend(self.backend)
-                .pricing(self.pricing)
-                .eta_update(self.eta_update)
                 .warm_cache(&mut cache)
                 .recorder(&self.obs);
             if let Some(st) = enum_stats.as_ref() {
@@ -239,8 +236,7 @@ impl<'a> Controller<'a> {
             pipeline = Some(timing);
             prepared_before_cut = cut_at.map(|c| ready_at_s <= c);
         }
-        if let (Some(at), Some(idx)) = (cut_at, detection.cut_at_idx) {
-            let _ = idx;
+        if let Some(at) = cut_at {
             self.obs.event_with("cut-observed", || {
                 format!("fiber={} at_s={at:.1}", trace.fiber.index())
             });
@@ -253,6 +249,18 @@ impl<'a> Controller<'a> {
             );
         }
         ControllerReport { events, pipeline, prepared_before_cut, solver }
+    }
+
+    /// A solver for `problem` with this controller's engine settings
+    /// (threads, backend, pricing, basis updates) applied: every TE
+    /// solve of this controller, or of a [`crate::robust::RobustController`]
+    /// wrapping it, starts here.
+    pub fn te_solver<'p, 'b, 'c>(&self, problem: &'p TeProblem<'b>) -> TeSolver<'p, 'b, 'c> {
+        TeSolver::new(problem)
+            .threads(self.threads)
+            .backend(self.backend)
+            .pricing(self.pricing)
+            .eta_update(self.eta_update)
     }
 
     /// Eqn 1 with the live prediction for the degraded fiber.

@@ -96,7 +96,7 @@ pub mod prelude {
         budget_from_latency, DegradedMode, RetryPolicy, RobustController, RobustReport,
     };
     pub use prete_core::prelude::{
-        BasisCache, ProblemConfig, Recorder, RunReport, SolveBudget, SolveMethod,
-        SolverStats, TeProblem, TeSolution, TeSolveError, TeSolver,
+        BasisCache, Recorder, RunReport, SolveBudget, SolveMethod, SolverStats, TeProblem,
+        TeSolution, TeSolveError, TeSolver,
     };
 }

@@ -375,13 +375,10 @@ impl<'a> RobustController<'a> {
         let problem = TeProblem::new(inner.net, inner.flows, inner.base_tunnels, &scenarios);
         // Deliberately cold (no warm cache): the standing policy must
         // not depend on whatever was solved before construction.
-        let last_known_good = TeSolver::new(&problem)
+        let last_known_good = inner
+            .te_solver(&problem)
             .beta(beta)
             .method(SolveMethod::Heuristic)
-            .threads(inner.threads)
-            .backend(inner.backend)
-            .pricing(inner.pricing)
-            .eta_update(inner.eta_update)
             .solve()
             .expect("heuristic solve under the default budget is infallible");
         Self { inner, method, retry, beta, last_known_good, priors, budget_override: None }
@@ -587,14 +584,12 @@ impl<'a> RobustController<'a> {
                     });
                 }
                 let mut cache = self.inner.cache.borrow_mut();
-                let (sol, stats) = TeSolver::new(&problem)
+                let (sol, stats) = self
+                    .inner
+                    .te_solver(&problem)
                     .beta(self.beta)
                     .method(method)
                     .budget(budget)
-                    .threads(self.inner.threads)
-                    .backend(self.inner.backend)
-                    .pricing(self.inner.pricing)
-                    .eta_update(self.inner.eta_update)
                     .warm_cache(&mut cache)
                     .recorder(&obs)
                     .solve_with_stats()?;

@@ -132,6 +132,76 @@ fn golden_ibm_matches_committed_fixture() {
 }
 
 // ---------------------------------------------------------------------------
+// Benders decomposition pin
+// ---------------------------------------------------------------------------
+
+/// A committed fixture for one Benders solve (Algorithm 2) on B4: the
+/// exact bits of the objective and allocation, the converged scenario
+/// selection, and the loop's deterministic work units. The heuristic
+/// fixtures above never enter the Benders loop, so without this pin a
+/// refactor of the cut loop could move its path silently.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct GoldenBenders {
+    topology: String,
+    max_loss_bits: u64,
+    allocation_bits: Vec<u64>,
+    delta: Vec<Vec<usize>>,
+    benders_iters: usize,
+    cuts_added: usize,
+    lp_solves: usize,
+    pivots: usize,
+}
+
+fn solve_benders(net: &Network, threads: usize) -> GoldenBenders {
+    let flows = topologies::flows_for(net, 0.05, 42);
+    let tunnels = TunnelSet::initialize(net, &flows, 3);
+    let probs: Vec<f64> =
+        (0..net.fibers().len()).map(|i| 0.005 * (1.0 + (i % 5) as f64)).collect();
+    let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
+    let problem = TeProblem::new(net, &flows, &tunnels, &scenarios);
+    let (sol, stats) = TeSolver::new(&problem)
+        .beta(0.99)
+        .method(SolveMethod::benders())
+        .threads(threads)
+        .solve_with_stats()
+        .expect("canonical instance is solvable");
+    GoldenBenders {
+        topology: "b4".to_string(),
+        max_loss_bits: sol.max_loss.to_bits(),
+        allocation_bits: sol.allocation.iter().map(|a| a.to_bits()).collect(),
+        delta: sol.delta,
+        benders_iters: stats.benders_iters,
+        cuts_added: stats.cuts_added,
+        lp_solves: stats.lp_solves,
+        pivots: stats.pivots,
+    }
+}
+
+#[test]
+fn golden_benders_b4_matches_committed_fixture() {
+    let net = topologies::b4();
+    let serial = solve_benders(&net, 1);
+    assert_eq!(serial, solve_benders(&net, 2), "Benders solve depends on the thread count");
+    let path = fixture_path("benders_b4");
+    if std::env::var_os("GOLDEN_BLESS").is_some() {
+        let json = serde_json::to_string_pretty(&serial).expect("serialize fixture");
+        std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");
+        std::fs::write(&path, json).expect("write fixture");
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run GOLDEN_BLESS=1 cargo test -p prete-bench \
+             --test golden_solver to create it",
+            path.display()
+        )
+    });
+    let want: GoldenBenders = serde_json::from_str(&text).expect("parse fixture");
+    assert_eq!(want, serial, "benders_b4: solve drifted from the committed fixture");
+}
+
+// ---------------------------------------------------------------------------
 // Pathologically scaled LP fixture
 // ---------------------------------------------------------------------------
 
