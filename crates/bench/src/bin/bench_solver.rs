@@ -1,5 +1,5 @@
-//! `bench_solver` — serial vs parallel vs warm-started TE solver
-//! timings, per LP backend, on a WAN topology.
+//! `bench_solver` — cold vs warm-started TE solver timings, per LP
+//! backend, on a WAN topology.
 //!
 //! ```text
 //! Usage: bench_solver [--epochs N] [--out FILE] [--min-speedup X]
@@ -13,7 +13,7 @@
 //! ```
 //!
 //! With `--min-speedup X` the process exits non-zero when the
-//! serial-vs-warm speedup falls below `X`; with `--backend both` it
+//! cold-vs-warm speedup falls below `X`; with `--backend both` it
 //! also exits non-zero when the sparse engine is slower than the dense
 //! one on the `serial-cold` configuration — CI's regression gates.
 //!
@@ -129,18 +129,17 @@ fn main() {
         bench.epochs, bench.topology
     );
     println!(
-        "  {:<8} {:<16} {:>7} {:>5} {:>10} {:>10} {:>9} {:>9} {:>7}",
-        "backend", "config", "threads", "warm", "total ms", "epoch ms", "lp", "pivots", "hits"
+        "  {:<8} {:<16} {:>5} {:>10} {:>10} {:>9} {:>9} {:>7}",
+        "backend", "config", "warm", "total ms", "epoch ms", "lp", "pivots", "hits"
     );
     for r in &bench.rows {
         println!(
-            "  {:<8} {:<16} {:>7} {:>5} {:>10.1} {:>10.1} {:>9} {:>9} {:>7}",
+            "  {:<8} {:<16} {:>5} {:>10.1} {:>10.1} {:>9} {:>9} {:>7}",
             match r.backend {
                 SolverBackend::DenseTableau => "dense",
                 SolverBackend::SparseRevised => "sparse",
             },
             r.config,
-            r.threads,
             r.warm,
             r.total_ms,
             r.mean_epoch_ms,
@@ -149,7 +148,7 @@ fn main() {
             r.stats.warm_hits,
         );
     }
-    println!("  speedup (serial-cold / warm-parallel-8): {:.2}x", bench.parallel_speedup);
+    println!("  speedup (serial-cold / warm):          {:.2}x", bench.warm_speedup);
     if let Some(s) = bench.sparse_speedup {
         println!("  speedup (dense / sparse, serial-cold):   {s:.2}x");
     }
@@ -161,8 +160,8 @@ fn main() {
 
     if let Some(min) = flag("--min-speedup") {
         let min: f64 = min.parse().expect("--min-speedup takes a number");
-        if bench.parallel_speedup < min {
-            eprintln!("speedup {:.2}x below required {min}x", bench.parallel_speedup);
+        if bench.warm_speedup < min {
+            eprintln!("speedup {:.2}x below required {min}x", bench.warm_speedup);
             std::process::exit(1);
         }
     }
@@ -226,11 +225,11 @@ fn run_streaming(
     );
     for r in &bench.rows {
         println!(
-            "  {:<16} threads={} total {:>9.1} ms  epoch {:>8.1} ms  lp={} pivots={}",
-            r.config, r.threads, r.total_ms, r.mean_epoch_ms, r.stats.lp_solves, r.stats.pivots
+            "  {:<16} total {:>9.1} ms  epoch {:>8.1} ms  lp={} pivots={}",
+            r.config, r.total_ms, r.mean_epoch_ms, r.stats.lp_solves, r.stats.pivots
         );
     }
-    println!("  speedup (serial-cold / warm-parallel-8): {:.2}x", bench.parallel_speedup);
+    println!("  speedup (serial-cold / warm): {:.2}x", bench.warm_speedup);
 
     // Serialize bench + enumeration + budget side by side in one
     // artifact.

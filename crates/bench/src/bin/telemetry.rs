@@ -2,18 +2,16 @@
 //! multi-tenant fleet run, plus the bench-regression diff gate.
 //!
 //! ```text
-//! Usage: telemetry [--tenants N] [--epochs N] [--seed N] [--threads N]
-//!                  [--flow-frac X] [--out-prom FILE] [--out-jsonl FILE]
-//!                  [--check-determinism]
+//! Usage: telemetry [--tenants N] [--epochs N] [--seed N] [--flow-frac X]
+//!                  [--out-prom FILE] [--out-jsonl FILE] [--check-determinism]
 //!        telemetry bench-diff OLD NEW [--max-polish-regress-pct X]
 //! ```
 //!
 //! The default mode runs a mixed B4/IBM fleet (every tenant under a
 //! lenient SLO tracker) and exports its telemetry snapshot as
 //! Prometheus text and JSON lines. With `--check-determinism` the run
-//! repeats at a different solver thread count and the process exits
-//! non-zero unless both exports are byte-identical — the CI smoke
-//! invariant.
+//! repeats at the same configuration and the process exits non-zero
+//! unless both exports are byte-identical — the CI smoke invariant.
 //!
 //! `bench-diff` compares two `BENCH_solver.json` files and exits
 //! non-zero when any `(backend, config)` row's polish time regressed
@@ -47,9 +45,6 @@ fn main() {
         seed: flag("--seed")
             .map(|v| v.parse().expect("--seed takes an integer"))
             .unwrap_or(defaults.seed),
-        threads: flag("--threads")
-            .map(|v| v.parse().expect("--threads takes an integer"))
-            .unwrap_or(defaults.threads),
         flow_frac: flag("--flow-frac")
             .map(|v| v.parse().expect("--flow-frac takes a number"))
             .unwrap_or(defaults.flow_frac),
@@ -91,24 +86,14 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--check-determinism") {
-        // Re-run at a different thread count: every exported byte must
-        // be a pure function of the run's inputs.
-        let other = TelemetryRunConfig {
-            threads: if cfg.threads == 1 { 2 } else { 1 },
-            ..cfg
-        };
-        let again = export(&telemetry_fleet(&other).expect("repeat fleet runs"));
+        // Re-run the same configuration: every exported byte must be
+        // a pure function of the run's inputs.
+        let again = export(&telemetry_fleet(&cfg).expect("repeat fleet runs"));
         if again != exports {
-            eprintln!(
-                "telemetry exports diverged across thread counts {} vs {}",
-                cfg.threads, other.threads
-            );
+            eprintln!("telemetry exports diverged across repeat runs");
             std::process::exit(1);
         }
-        println!(
-            "  determinism: exports byte-identical across thread counts {} vs {}",
-            cfg.threads, other.threads
-        );
+        println!("  determinism: exports byte-identical across repeat runs");
     }
 }
 

@@ -123,8 +123,11 @@ pub fn run_report_wan(epochs: usize) -> ControllerRun {
 
 /// Renders the run report as text tables: stage attribution under the
 /// epoch span, histogram percentiles, counters, and event tallies.
+/// Durations are labelled `ms` under a live clock and `ticks` under a
+/// deterministic one; `*_units` histograms count work units.
 pub fn render_report(run: &ControllerRun) -> String {
     let r = &run.report;
+    let time_unit = if r.deterministic { "ticks" } else { "ms" };
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -132,7 +135,14 @@ pub fn render_report(run: &ControllerRun) -> String {
         run.epochs, run.topology, run.prepared_before_cut, r.deterministic
     );
     let _ = writeln!(s, "  spans: {}", r.span_names().join(" "));
-    let _ = writeln!(s, "  {:<12} {:>6} {:>12} {:>8}", "stage", "calls", "total ms", "share %");
+    let _ = writeln!(
+        s,
+        "  {:<12} {:>6} {:>12} {:>8}",
+        "stage",
+        "calls",
+        format!("total {time_unit}"),
+        "share %"
+    );
     for row in r.stage_attribution("epoch") {
         let _ = writeln!(
             s,
@@ -142,13 +152,14 @@ pub fn render_report(run: &ControllerRun) -> String {
     }
     let _ = writeln!(
         s,
-        "  {:<24} {:>6} {:>9} {:>9} {:>9} {:>9}",
-        "histogram", "count", "p50 ms", "p95 ms", "p99 ms", "max ms"
+        "  {:<28} {:>6} {:>9} {:>9} {:>9} {:>9}  unit",
+        "histogram", "count", "p50", "p95", "p99", "max"
     );
     for (name, h) in &r.histograms {
+        let unit = if name.ends_with("_units") { "units" } else { time_unit };
         let _ = writeln!(
             s,
-            "  {:<24} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
+            "  {:<28} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3}  {unit}",
             name, h.count, h.p50, h.p95, h.p99, h.max
         );
     }
@@ -235,6 +246,24 @@ mod tests {
         // Deterministic clock ⇒ byte-identical JSON across runs.
         let b = run_report_on(&topologies::b4(), 0.08, 2);
         assert_eq!(a.report.to_json(), b.report.to_json());
+    }
+
+    #[test]
+    fn deterministic_render_labels_ticks_and_units_not_ms() {
+        let run = run_report_on(&topologies::b4(), 0.08, 2);
+        assert!(run.report.deterministic);
+        let out = render_report(&run);
+        assert!(out.contains("total ticks"), "{out}");
+        assert!(!out.split_whitespace().any(|w| w == "ms"), "{out}");
+        assert!(run.report.histograms.keys().any(|k| k.ends_with("_units")));
+        for name in run.report.histograms.keys() {
+            let row = out
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name.as_str()))
+                .unwrap_or_else(|| panic!("no row for {name}"));
+            let want = if name.ends_with("_units") { "units" } else { "ticks" };
+            assert_eq!(row.split_whitespace().last(), Some(want), "{row}");
+        }
     }
 
     #[test]

@@ -126,10 +126,8 @@ pub fn fig16b(ratios: &[f64]) -> Vec<RuntimeRow> {
 pub struct SolverBenchRow {
     /// LP engine the row was measured with.
     pub backend: SolverBackend,
-    /// Configuration label (`serial-cold`, `parallel-8`, ...).
+    /// Configuration label (`serial-cold` or `warm`).
     pub config: String,
-    /// Worker threads the solver and precompute were configured with.
-    pub threads: usize,
     /// Whether a persistent warm-start [`BasisCache`] was attached.
     pub warm: bool,
     /// Total wall time across all epochs (ms), including problem
@@ -144,7 +142,7 @@ pub struct SolverBenchRow {
     pub stats: SolverStats,
 }
 
-/// The solver benchmark: serial vs parallel vs warm-started timings on
+/// The solver benchmark: cold vs warm-started timings on
 /// the WAN topology, serialized to `BENCH_solver.json` by the
 /// `bench_solver` binary.
 #[derive(Debug, Clone, Serialize)]
@@ -155,10 +153,10 @@ pub struct SolverBench {
     pub epochs: usize,
     /// One row per (backend, configuration) pair.
     pub rows: Vec<SolverBenchRow>,
-    /// `serial-cold` total over `warm-parallel-8` total: the end-to-end
-    /// speedup of the parallel, warm-started solver (sparse rows when
-    /// present, else the first benchmarked backend).
-    pub parallel_speedup: f64,
+    /// `serial-cold` total over `warm` total: the end-to-end speedup of
+    /// the warm-started solver (sparse rows when present, else the
+    /// first benchmarked backend).
+    pub warm_speedup: f64,
     /// Dense `serial-cold` total over sparse `serial-cold` total — the
     /// revised-engine speedup. `None` unless both backends ran.
     pub sparse_speedup: Option<f64>,
@@ -178,9 +176,8 @@ fn demand_jitter(epoch: usize, flow: usize) -> f64 {
 }
 
 /// Benchmarks the TE solver on the WAN topology over `epochs`
-/// controller epochs with slightly jittered demands, in three
-/// configurations: serial cold (`threads = 1`, no cache), parallel cold
-/// (`threads = 8`), and parallel warm (`threads = 8` plus a persistent
+/// controller epochs with slightly jittered demands, in two
+/// configurations: cold (no cache) and warm (a persistent
 /// [`BasisCache`] carried across epochs — the controller's steady
 /// state).
 pub fn bench_solver(epochs: usize) -> SolverBench {
@@ -258,7 +255,6 @@ fn run_config(
     epochs: usize,
     backend: SolverBackend,
     config: &str,
-    threads: usize,
     warm: bool,
     pricing: Pricing,
     eta_update: EtaUpdate,
@@ -277,7 +273,6 @@ fn run_config(
         let mut solver = TeSolver::new(&problem)
             .beta(0.999)
             .method(SolveMethod::Heuristic)
-            .threads(threads)
             .backend(backend)
             .pricing(pricing)
             .eta_update(eta_update)
@@ -296,7 +291,6 @@ fn run_config(
     SolverBenchRow {
         backend,
         config: config.into(),
-        threads,
         warm,
         total_ms,
         mean_epoch_ms: total_ms / epochs.max(1) as f64,
@@ -326,7 +320,6 @@ pub fn bench_serial_cold_row(
         epochs,
         SolverBackend::SparseRevised,
         "serial-cold",
-        1,
         false,
         pricing,
         eta_update,
@@ -351,26 +344,14 @@ pub fn bench_solver_matrix(
     cold_start: ColdStart,
 ) -> SolverBench {
     let wl = workload(net);
-    let run = |backend: SolverBackend, config: &str, threads: usize, warm: bool| {
-        run_config(
-            net,
-            &wl,
-            epochs,
-            backend,
-            config,
-            threads,
-            warm,
-            pricing,
-            eta_update,
-            cold_start,
-        )
+    let run = |backend: SolverBackend, config: &str, warm: bool| {
+        run_config(net, &wl, epochs, backend, config, warm, pricing, eta_update, cold_start)
     };
 
-    let mut rows = Vec::with_capacity(3 * backends.len());
+    let mut rows = Vec::with_capacity(2 * backends.len());
     for &backend in backends {
-        rows.push(run(backend, "serial-cold", 1, false));
-        rows.push(run(backend, "parallel-8", 8, false));
-        rows.push(run(backend, "warm-parallel-8", 8, true));
+        rows.push(run(backend, "serial-cold", false));
+        rows.push(run(backend, "warm", true));
     }
     let find = |backend: SolverBackend, config: &str| {
         rows.iter().find(|r| r.backend == backend && r.config == config)
@@ -380,9 +361,9 @@ pub fn bench_solver_matrix(
     } else {
         backends[0]
     };
-    let parallel_speedup = {
+    let warm_speedup = {
         let cold = find(speedup_backend, "serial-cold").expect("serial row");
-        let warm = find(speedup_backend, "warm-parallel-8").expect("warm row");
+        let warm = find(speedup_backend, "warm").expect("warm row");
         cold.total_ms / warm.total_ms.max(1e-9)
     };
     let sparse_speedup = match (
@@ -392,14 +373,13 @@ pub fn bench_solver_matrix(
         (Some(dense), Some(sparse)) => Some(dense.total_ms / sparse.total_ms.max(1e-9)),
         _ => None,
     };
-    SolverBench { topology: net.name.clone(), epochs, rows, parallel_speedup, sparse_speedup }
+    SolverBench { topology: net.name.clone(), epochs, rows, warm_speedup, sparse_speedup }
 }
 
 /// The solver benchmark over the budgeted streaming scenario path:
 /// k-cut enumeration under `budget` (bounded buffer, mass-floor
-/// pruning, optional tail sampling), solved serial-cold and
-/// warm-parallel. Returns the bench plus the enumeration accounting —
-/// `peak_buffered` is the CI gate that streaming evaluation never
+/// pruning, optional tail sampling), solved cold and warm. Returns
+/// the bench plus the enumeration accounting — `peak_buffered` is the CI gate that streaming evaluation never
 /// materializes the candidate space.
 pub fn bench_solver_streaming(
     net: &prete_topology::Network,
@@ -408,41 +388,23 @@ pub fn bench_solver_streaming(
 ) -> (SolverBench, EnumerationStats) {
     let wl = workload_budgeted(net, budget);
     let stats = wl.enum_stats.expect("budgeted workload carries accounting");
-    let backend = SolverBackend::SparseRevised;
-    let rows = vec![
+    let run = |config: &str, warm: bool| {
         run_config(
             net,
             &wl,
             epochs,
-            backend,
-            "serial-cold",
-            1,
-            false,
+            SolverBackend::SparseRevised,
+            config,
+            warm,
             Pricing::default(),
             EtaUpdate::default(),
             ColdStart::default(),
-        ),
-        run_config(
-            net,
-            &wl,
-            epochs,
-            backend,
-            "warm-parallel-8",
-            8,
-            true,
-            Pricing::default(),
-            EtaUpdate::default(),
-            ColdStart::default(),
-        ),
-    ];
-    let parallel_speedup = rows[0].total_ms / rows[1].total_ms.max(1e-9);
-    let bench = SolverBench {
-        topology: net.name.clone(),
-        epochs,
-        rows,
-        parallel_speedup,
-        sparse_speedup: None,
+        )
     };
+    let rows = vec![run("serial-cold", false), run("warm", true)];
+    let warm_speedup = rows[0].total_ms / rows[1].total_ms.max(1e-9);
+    let bench =
+        SolverBench { topology: net.name.clone(), epochs, rows, warm_speedup, sparse_speedup: None };
     (bench, stats)
 }
 
@@ -470,9 +432,9 @@ mod tests {
         // WAN-scale version in release mode.
         let b = bench_solver_on(&topologies::b4(), 3);
         assert_eq!(b.topology, "B4");
-        assert_eq!(b.rows.len(), 3);
-        let warm = &b.rows[2];
-        assert!(warm.warm && warm.threads == 8);
+        assert_eq!(b.rows.len(), 2);
+        let warm = &b.rows[1];
+        assert!(warm.warm && warm.config == "warm");
         // Epochs 2.. restore the epoch-1 basis: at least one warm hit
         // per subsequent epoch.
         assert!(warm.stats.warm_hits >= 2, "warm hits: {}", warm.stats.warm_hits);
@@ -487,7 +449,7 @@ mod tests {
                 b.rows[0].max_loss
             );
         }
-        assert!(b.parallel_speedup > 0.0);
+        assert!(b.warm_speedup > 0.0);
         // Single-backend run: no dense-vs-sparse ratio to report.
         assert!(b.sparse_speedup.is_none());
     }
@@ -499,11 +461,11 @@ mod tests {
             2,
             &[SolverBackend::DenseTableau, SolverBackend::SparseRevised],
         );
-        assert_eq!(b.rows.len(), 6);
+        assert_eq!(b.rows.len(), 4);
         let dense = b.rows.iter().filter(|r| r.backend == SolverBackend::DenseTableau);
         let sparse: Vec<_> =
             b.rows.iter().filter(|r| r.backend == SolverBackend::SparseRevised).collect();
-        assert_eq!(sparse.len(), 3);
+        assert_eq!(sparse.len(), 2);
         // Both engines land on the same objective in every configuration.
         for (d, s) in dense.zip(&sparse) {
             assert_eq!(d.config, s.config);

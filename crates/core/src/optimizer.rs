@@ -42,15 +42,6 @@ use prete_topology::{Flow, Network, TunnelId, TunnelSet};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Resolves a requested thread count (`0` = all available cores).
-fn effective_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
-}
-
 /// How to solve the scenario-selection MIP.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolveMethod {
@@ -307,8 +298,6 @@ pub struct SolverStats {
     /// sequence — but a float summary, so excluded from `PartialEq`
     /// like the configuration labels).
     pub max_condition_estimate: f64,
-    /// Worker threads the solve was configured with.
-    pub threads: usize,
     /// Pricing rule the solve was configured with (configuration
     /// label, not a work unit).
     pub pricing: Pricing,
@@ -322,7 +311,7 @@ pub struct SolverStats {
 
 impl SolverStats {
     /// Accumulates another solve's counters into this one (wall times
-    /// and work units add; `threads` keeps the maximum seen).
+    /// and work units add).
     pub fn merge(&mut self, other: &SolverStats) {
         self.total_ms += other.total_ms;
         self.subproblem_ms += other.subproblem_ms;
@@ -350,7 +339,6 @@ impl SolverStats {
         self.tail_mass = self.tail_mass.max(other.tail_mass);
         self.max_condition_estimate =
             self.max_condition_estimate.max(other.max_condition_estimate);
-        self.threads = self.threads.max(other.threads);
         // Configuration labels: the accumulator adopts the merged
         // solve's choices, so a default-initialized epoch accumulator
         // ends up labelled with what actually ran.
@@ -385,11 +373,11 @@ impl SolverStats {
     /// Publishes this solve's counters and timings into a
     /// [`Recorder`], making the stats part of the run report instead of
     /// a side-channel. Work units become `solver.*` counters. Under a
-    /// live clock, wall times feed `solver.*_ms` histograms and the
-    /// thread count becomes a gauge; under a deterministic clock those
-    /// are machine-dependent and excluded, and *logical-duration*
-    /// histograms (work-unit counts per solve) are recorded instead so
-    /// deterministic reports still carry full percentile tables.
+    /// live clock, wall times feed `solver.*_ms` histograms; under a
+    /// deterministic clock they are machine-dependent and excluded, and
+    /// *logical-duration* histograms (work-unit counts per solve) are
+    /// recorded instead so deterministic reports still carry full
+    /// percentile tables.
     pub fn publish(&self, rec: &Recorder) {
         if !rec.enabled() {
             return;
@@ -414,15 +402,11 @@ impl SolverStats {
         rec.add("solver.suspect_solves", self.suspect_solves as u64);
         rec.add("solver.scenarios_pruned", self.scenarios_pruned);
         if self.tail_mass > 0.0 {
-            // Deterministic across thread counts (a pure function of
-            // the scenario budget), so safe in byte-identical reports.
+            // A pure function of the scenario budget, so safe in
+            // byte-identical reports.
             rec.gauge("solver.tail_mass", self.tail_mass);
         }
         if !rec.is_deterministic() {
-            // The thread count is an execution parameter like the wall
-            // times: deterministic reports must be identical across
-            // thread counts, so neither belongs there.
-            rec.gauge("solver.threads", self.threads as f64);
             rec.observe("solver.total_ms", self.total_ms);
             rec.observe("solver.subproblem_ms", self.subproblem_ms);
             rec.observe("solver.master_ms", self.master_ms);
@@ -443,10 +427,10 @@ impl SolverStats {
 }
 
 impl PartialEq for SolverStats {
-    /// Deterministic work-unit fields only — wall-clock measurements,
-    /// the machine-dependent thread count and the configuration labels
-    /// (`pricing`, `eta_update`) are excluded so replays on any
-    /// machine compare equal when they did the same work.
+    /// Deterministic work-unit fields only — wall-clock measurements
+    /// and the configuration labels (`pricing`, `eta_update`) are
+    /// excluded so replays on any machine compare equal when they did
+    /// the same work.
     fn eq(&self, other: &Self) -> bool {
         self.lp_solves == other.lp_solves
             && self.pivots == other.pivots
@@ -471,9 +455,9 @@ impl PartialEq for SolverStats {
 }
 
 /// Builder for TE solves: owns `beta`, the [`SolveMethod`], the
-/// [`SolveBudget`], the thread count and an optional warm-start
-/// [`BasisCache`], replacing the positional-argument
-/// `solve_te(problem, beta, method)` family.
+/// [`SolveBudget`] and an optional warm-start [`BasisCache`],
+/// replacing the positional-argument `solve_te(problem, beta, method)`
+/// family.
 ///
 /// ```
 /// use prete_core::prelude::*;
@@ -497,7 +481,6 @@ pub struct TeSolver<'p, 'a, 'c> {
     beta: f64,
     method: SolveMethod,
     budget: SolveBudget,
-    threads: usize,
     backend: SolverBackend,
     pricing: Pricing,
     eta_update: EtaUpdate,
@@ -509,9 +492,9 @@ pub struct TeSolver<'p, 'a, 'c> {
 
 impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
     /// Creates a solver for `problem` with defaults: `beta = 0.99`,
-    /// [`SolveMethod::Heuristic`], the default [`SolveBudget`], all
-    /// available cores, the default LP backend and pricing /
-    /// eta-update / cold-start rules, no warm-start cache, no recorder.
+    /// [`SolveMethod::Heuristic`], the default [`SolveBudget`], the
+    /// default LP backend and pricing / eta-update / cold-start rules,
+    /// no warm-start cache, no recorder.
     /// Every LP solve runs at the default [`prete_lp::Tolerances`].
     pub fn new(problem: &'p TeProblem<'a>) -> Self {
         Self {
@@ -519,7 +502,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
             beta: 0.99,
             method: SolveMethod::Heuristic,
             budget: SolveBudget::default(),
-            threads: 0,
             backend: SolverBackend::default(),
             pricing: Pricing::default(),
             eta_update: EtaUpdate::default(),
@@ -562,13 +544,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
     ///   reports `BudgetExceeded` / `Infeasible` instead of asserting.
     pub fn budget(mut self, budget: SolveBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Worker threads (`0` = all available cores). Any value produces
-    /// bit-identical solutions; see DESIGN.md "Solver architecture".
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -653,7 +628,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         let t0 = Instant::now();
         let recorder = self.recorder;
         let span = recorder.span("solve");
-        let threads = effective_threads(self.threads);
         recorder.event_with("solver.backend", || format!("{:?}", self.backend));
         recorder.event_with("solver.pricing", || format!("{:?}", self.pricing));
         recorder.event_with("solver.eta-update", || format!("{:?}", self.eta_update));
@@ -661,14 +635,12 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         let evictions_before = self.cache.as_ref().map_or(0, |c| c.evictions());
         let mut ctx = SolveCtx {
             problem: self.problem,
-            threads,
             backend: self.backend,
             pricing: self.pricing,
             eta_update: self.eta_update,
             cold_start: self.cold_start,
             cache: self.cache,
             stats: SolverStats {
-                threads,
                 pricing: self.pricing,
                 eta_update: self.eta_update,
                 cold_start: self.cold_start,
@@ -842,7 +814,6 @@ fn ms_since(t0: Instant) -> f64 {
 /// Per-solve context: configuration plus the stats being accumulated.
 struct SolveCtx<'p, 'a, 'c> {
     problem: &'p TeProblem<'a>,
-    threads: usize,
     backend: SolverBackend,
     pricing: Pricing,
     eta_update: EtaUpdate,
@@ -855,7 +826,6 @@ struct SolveCtx<'p, 'a, 'c> {
 impl SolveCtx<'_, '_, '_> {
     fn simplex_opts(&self) -> SimplexOptions {
         SimplexOptions {
-            threads: self.threads,
             backend: self.backend,
             pricing: self.pricing,
             eta_update: self.eta_update,
@@ -1656,7 +1626,6 @@ mod tests {
         let (_, stats) = TeSolver::new(&p)
             .beta(0.99)
             .method(SolveMethod::benders())
-            .threads(1)
             .warm_cache(&mut cache)
             .recorder(&rec)
             .solve_with_stats()
@@ -1664,7 +1633,6 @@ mod tests {
         let (_, s2) = TeSolver::new(&p)
             .beta(0.99)
             .method(SolveMethod::benders())
-            .threads(1)
             .warm_cache(&mut cache)
             .recorder(&rec)
             .solve_with_stats()
@@ -1695,38 +1663,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solves_are_bit_identical_to_serial() {
-        let (net, flows, tunnels, scenarios) = triangle_problem(&TRIANGLE_PROBS);
-        let p = TeProblem::new(&net, &flows, &tunnels, &scenarios);
-        for method in [SolveMethod::Heuristic, SolveMethod::benders(), SolveMethod::BranchAndBound]
-        {
-            let serial = TeSolver::new(&p).beta(0.99).method(method).threads(1).solve().unwrap();
-            for threads in [2, 4, 8] {
-                let par = TeSolver::new(&p)
-                    .beta(0.99)
-                    .method(method)
-                    .threads(threads)
-                    .solve()
-                    .unwrap();
-                let sb: Vec<u64> = serial.allocation.iter().map(|a| a.to_bits()).collect();
-                let pb: Vec<u64> = par.allocation.iter().map(|a| a.to_bits()).collect();
-                assert_eq!(sb, pb, "{method:?} @ {threads} threads");
-                assert_eq!(serial.max_loss.to_bits(), par.max_loss.to_bits());
-                assert_eq!(serial.delta, par.delta);
-            }
-        }
-    }
-
-    #[test]
     fn warm_cache_reuse_keeps_solutions_identical() {
         let (net, flows, tunnels, scenarios) = triangle_problem(&TRIANGLE_PROBS);
         let p = TeProblem::new(&net, &flows, &tunnels, &scenarios);
-        let cold = TeSolver::new(&p).beta(0.99).threads(1).solve().unwrap();
+        let cold = TeSolver::new(&p).beta(0.99).solve().unwrap();
 
         let mut cache = BasisCache::new();
         let (first, s1) = TeSolver::new(&p)
             .beta(0.99)
-            .threads(1)
             .warm_cache(&mut cache)
             .solve_with_stats()
             .unwrap();
@@ -1734,7 +1678,6 @@ mod tests {
         assert!(!cache.is_empty(), "optimal bases were saved");
         let (second, s2) = TeSolver::new(&p)
             .beta(0.99)
-            .threads(1)
             .warm_cache(&mut cache)
             .solve_with_stats()
             .unwrap();
@@ -1752,7 +1695,6 @@ mod tests {
         let (_, stats) = TeSolver::new(&p)
             .beta(0.99)
             .method(SolveMethod::benders())
-            .threads(1)
             .solve_with_stats()
             .unwrap();
         assert!(stats.benders_iters > 0);
@@ -1767,7 +1709,6 @@ mod tests {
         let (_, again) = TeSolver::new(&p)
             .beta(0.99)
             .method(SolveMethod::benders())
-            .threads(1)
             .solve_with_stats()
             .unwrap();
         assert_eq!(stats, again);
@@ -1775,7 +1716,6 @@ mod tests {
         let mut merged = stats.clone();
         merged.merge(&again);
         assert_eq!(merged.lp_solves, stats.lp_solves * 2);
-        assert_eq!(merged.threads, 1);
     }
 
     #[test]
@@ -1809,7 +1749,6 @@ mod tests {
             scenarios_pruned: 1234,
             tail_mass: 0.125,
             max_condition_estimate: 1500.0,
-            threads: 8,
             pricing: Pricing::Devex,
             eta_update: EtaUpdate::ForrestTomlin,
             cold_start: ColdStart::Auto,
@@ -1841,7 +1780,6 @@ mod tests {
             r#""scenarios_pruned":1234"#,
             r#""tail_mass":0.125"#,
             r#""max_condition_estimate":1500.0"#,
-            r#""threads":8"#,
             r#""pricing":"Devex""#,
             r#""eta_update":"ForrestTomlin""#,
             r#""cold_start":"Auto""#,
@@ -1862,14 +1800,13 @@ mod tests {
             rhs_resolves: 1,
             ..SolverStats::default()
         };
-        // Different machine: wall times and thread count differ, work
-        // units agree — still equal.
+        // Different machine: wall times differ, work units agree —
+        // still equal.
         let other_machine = SolverStats {
             total_ms: 999.0,
             subproblem_ms: 500.0,
             master_ms: 400.0,
             polish_ms: 99.0,
-            threads: 32,
             ..base.clone()
         };
         assert_eq!(base, other_machine);
@@ -1893,7 +1830,6 @@ mod tests {
             TeSolver::new(&p)
                 .beta(0.99)
                 .method(SolveMethod::benders())
-                .threads(1)
                 .warm_cache(cache)
                 .solve_with_stats()
                 .unwrap()
@@ -1929,7 +1865,6 @@ mod tests {
             for _ in 0..epochs {
                 let (_, s) = TeSolver::new(&p)
                     .beta(0.99)
-                    .threads(1)
                     .warm_cache(&mut cache)
                     .solve_with_stats()
                     .unwrap();

@@ -18,12 +18,8 @@ use crate::simplex::{solve_with, SimplexOptions, Solution, SolveStatus};
 
 /// Nodes popped (in DFS order) and relaxed together per wave.
 ///
-/// The wave size is a constant — *not* derived from the thread count —
-/// so the exploration order, and with it every incumbent and bound
-/// decision, is identical whether the wave's LP relaxations are solved
-/// serially or fanned out across threads. That makes `solve_mip`
-/// bit-identical at every thread count; threads only change how fast a
-/// wave finishes.
+/// The wave size fixes the exploration order, and with it every
+/// incumbent and bound decision (and so the node count).
 const WAVE: usize = 4;
 
 /// Options for the branch-and-bound search.
@@ -194,38 +190,21 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
     }
 }
 
-/// Solves the LP relaxations of a wave of nodes, in wave order. With
-/// more than one node and `simplex.threads > 1` the solves run on
-/// scoped worker threads (each node's relaxation is independent); the
-/// per-node simplex then runs serially so the two parallelism levels
-/// do not multiply. Results are collected in wave order either way.
+/// Solves the LP relaxations of a wave of nodes, in wave order.
 fn relax_wave(
     lp: &LinearProgram,
     wave: &[Vec<(VarId, f64, f64)>],
     simplex: SimplexOptions,
 ) -> Vec<Solution> {
-    let relax = |tightenings: &[(VarId, f64, f64)], opts: SimplexOptions| {
-        let mut child = lp.clone();
-        for &(v, lo, hi) in tightenings {
-            tighten(&mut child, v, lo, hi);
-        }
-        solve_with(&child, opts)
-    };
-    if simplex.threads > 1 && wave.len() > 1 {
-        let inner = SimplexOptions { threads: 1, ..simplex };
-        std::thread::scope(|s| {
-            let handles: Vec<_> = wave
-                .iter()
-                .map(|t| s.spawn(move || relax(t, inner)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("wave worker panicked"))
-                .collect()
+    wave.iter()
+        .map(|tightenings| {
+            let mut child = lp.clone();
+            for &(v, lo, hi) in tightenings {
+                tighten(&mut child, v, lo, hi);
+            }
+            solve_with(&child, simplex)
         })
-    } else {
-        wave.iter().map(|t| relax(t, simplex)).collect()
-    }
+        .collect()
 }
 
 /// Intersects a variable's bounds with `[lo, hi]`. When the

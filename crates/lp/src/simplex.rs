@@ -301,18 +301,6 @@ pub struct SimplexOptions {
     pub tols: Tolerances,
     /// Iterations without improvement before switching to Bland's rule.
     pub stall_threshold: usize,
-    /// Worker threads for the parallel kernels (1 = serial).
-    ///
-    /// Dense backend: rows are eliminated independently against a
-    /// snapshot of the normalized pivot row. Sparse backend: pricing
-    /// computes per-column reduced costs into disjoint slices. In both
-    /// cases every thread count — including 1 — performs the exact same
-    /// per-cell arithmetic, so results are bit-identical. Parallelism
-    /// only kicks in above a work threshold ([`PARALLEL_PIVOT_CELLS`]
-    /// tableau cells / a pricing-segment width for the sparse engine);
-    /// entering/leaving selection always runs on the coordinating
-    /// thread.
-    pub threads: usize,
     /// Engine selection (default [`SolverBackend::SparseRevised`] with
     /// automatic dense fallback on factorization failure).
     pub backend: SolverBackend,
@@ -331,7 +319,6 @@ impl Default for SimplexOptions {
             eps: 1e-9,
             tols: Tolerances::default(),
             stall_threshold: 1_000,
-            threads: 1,
             backend: SolverBackend::default(),
             pricing: Pricing::default(),
             eta_update: EtaUpdate::default(),
@@ -358,11 +345,6 @@ impl SimplexOptions {
         self.tols.validate()
     }
 }
-
-/// Minimum tableau cells (`rows × columns`) before a pivot fans row
-/// elimination out across threads; below this the spawn overhead
-/// dominates.
-pub const PARALLEL_PIVOT_CELLS: usize = 32_768;
 
 /// Outcome of a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1231,61 +1213,23 @@ impl Tableau {
         for j in 0..=self.ncols {
             self.t[rr + j] *= inv;
         }
-        if self.opts.threads > 1 && (self.m + 1) * stride >= PARALLEL_PIVOT_CELLS {
-            self.eliminate_parallel(row, col);
-        } else {
-            for r in 0..=self.m {
-                if r == row {
-                    continue;
-                }
-                let f = self.at(r, col);
-                if f == 0.0 {
-                    continue;
-                }
-                let br = r * stride;
-                for j in 0..=self.ncols {
-                    self.t[br + j] -= f * self.t[rr + j];
-                }
-                // Kill residual round-off in the pivot column.
-                self.t[br + col] = 0.0;
+        for r in 0..=self.m {
+            if r == row {
+                continue;
             }
+            let f = self.at(r, col);
+            if f == 0.0 {
+                continue;
+            }
+            let br = r * stride;
+            for j in 0..=self.ncols {
+                self.t[br + j] -= f * self.t[rr + j];
+            }
+            // Kill residual round-off in the pivot column.
+            self.t[br + col] = 0.0;
         }
         self.basis[row] = col;
         self.iterations += 1;
-    }
-
-    /// Row elimination fanned out over scoped threads. Each row is
-    /// eliminated against a snapshot of the already-normalized pivot
-    /// row with the exact inner loop of the serial path, and rows are
-    /// independent, so the result is bit-identical to the serial
-    /// elimination at every thread count.
-    fn eliminate_parallel(&mut self, row: usize, col: usize) {
-        let stride = self.stride();
-        let ncols = self.ncols;
-        let prow: Vec<f64> = self.t[row * stride..row * stride + stride].to_vec();
-        let nrows = self.m + 1;
-        let nthreads = self.opts.threads.min(nrows).max(1);
-        let chunk_rows = nrows.div_ceil(nthreads);
-        std::thread::scope(|s| {
-            for (ci, chunk) in self.t.chunks_mut(chunk_rows * stride).enumerate() {
-                let prow = &prow;
-                s.spawn(move || {
-                    for (k, r) in chunk.chunks_mut(stride).enumerate() {
-                        if ci * chunk_rows + k == row {
-                            continue;
-                        }
-                        let f = r[col];
-                        if f == 0.0 {
-                            continue;
-                        }
-                        for j in 0..=ncols {
-                            r[j] -= f * prow[j];
-                        }
-                        r[col] = 0.0;
-                    }
-                });
-            }
-        });
     }
 
     /// Overwrites the rhs column (including the objective cell) with the
@@ -1793,33 +1737,6 @@ mod tests {
             lp.add_constraint(terms, Sense::Ge, 1.0 + 3.0 * next());
         }
         lp
-    }
-
-    #[test]
-    fn parallel_pivots_are_bit_identical() {
-        // Large enough to clear PARALLEL_PIVOT_CELLS (dense) and
-        // PARALLEL_PRICE_COLS (sparse) so the threaded paths actually
-        // run, for every backend and thread count — including 1.
-        let lp = random_lp(120, 120, 7);
-        for backend in [SolverBackend::DenseTableau, SolverBackend::SparseRevised] {
-            let opts = |threads| SimplexOptions { threads, backend, ..Default::default() };
-            let serial = solve_with(&lp, opts(1));
-            assert!(serial.is_optimal(), "{backend:?}");
-            for threads in [1, 2, 8] {
-                let par = solve_with(&lp, opts(threads));
-                assert_eq!(par.status, serial.status);
-                assert_eq!(par.iterations, serial.iterations, "{backend:?} threads {threads}");
-                assert!(
-                    par.x.iter().zip(&serial.x).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{backend:?} threads {threads}: x differs"
-                );
-                assert_eq!(par.objective.to_bits(), serial.objective.to_bits());
-                assert!(
-                    par.duals.iter().zip(&serial.duals).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{backend:?} threads {threads}: duals differ"
-                );
-            }
-        }
     }
 
     #[test]

@@ -50,12 +50,6 @@ use crate::simplex::{
 /// use `ncols / 8`).
 const PRICE_SEGMENT: usize = 256;
 
-/// Minimum segment width before reduced-cost computation fans out
-/// across threads; each column's dot product is computed by exactly
-/// one thread with the same arithmetic as the serial path, so results
-/// are bit-identical at every thread count.
-pub(crate) const PARALLEL_PRICE_COLS: usize = 1536;
-
 /// Salt folded into sparse basis signatures so a dense-backend basis
 /// (or a basis from a different presolve reduction, or one saved by a
 /// pre-native-bounds build whose cores carried explicit bound rows)
@@ -619,7 +613,7 @@ impl SparseCore {
         let mut d = vec![0.0f64; seg];
         while scanned < self.ncols {
             let len = seg.min(self.ncols - start).min(self.ncols - scanned);
-            self.price_segment(start, len, y, costs, allow_art, &mut d[..len]);
+            self.price_segment(start, y, costs, allow_art, &mut d[..len]);
             let mut best: Option<usize> = None;
             let mut best_d = -eps;
             for (k, &dj) in d[..len].iter().enumerate() {
@@ -638,48 +632,29 @@ impl SparseCore {
         None
     }
 
-    /// Reduced costs of columns `[start, start+len)` into `out`
+    /// Reduced costs of columns `[start, start + out.len())` into `out`
     /// (`+∞` for columns that may not enter; sign-flipped for
-    /// at-upper columns). Fanned out across threads above
-    /// [`PARALLEL_PRICE_COLS`]; per-column arithmetic is identical at
-    /// every thread count.
+    /// at-upper columns).
     fn price_segment(
         &self,
         start: usize,
-        len: usize,
         y: &[f64],
         costs: &[f64],
         allow_art: bool,
         out: &mut [f64],
     ) {
-        let one = |this: &Self, j: usize| {
-            if this.in_basis[j] || (!allow_art && this.kind[j] == CKind::Artificial) {
+        for (k, slot) in out.iter_mut().enumerate() {
+            let j = start + k;
+            *slot = if self.in_basis[j] || (!allow_art && self.kind[j] == CKind::Artificial) {
                 f64::INFINITY
             } else {
-                let d = costs[j] - this.col_dot(j, y);
-                if this.at_upper[j] {
+                let d = costs[j] - self.col_dot(j, y);
+                if self.at_upper[j] {
                     -d
                 } else {
                     d
                 }
-            }
-        };
-        if self.opts.threads > 1 && len >= PARALLEL_PRICE_COLS {
-            let nthreads = self.opts.threads.min(len).max(1);
-            let chunk = len.div_ceil(nthreads);
-            std::thread::scope(|s| {
-                for (ci, o) in out.chunks_mut(chunk).enumerate() {
-                    s.spawn(move || {
-                        for (k, slot) in o.iter_mut().enumerate() {
-                            *slot = one(self, start + ci * chunk + k);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (k, slot) in out.iter_mut().enumerate() {
-                *slot = one(self, start + k);
-            }
+            };
         }
     }
 
@@ -708,8 +683,6 @@ impl SparseCore {
     /// element `α_q = w[slot]` and pivot row `alphas`, every
     /// candidate's weight rises to `max(γ_j, (α_j/α_q)² γ_q)` and the
     /// leaving variable enters the nonbasic set with `max(γ_q/α_q², 1)`.
-    /// Serial on purpose — the weights feed the next pricing pass and
-    /// must be bit-identical at every thread count.
     fn devex_update(
         &self,
         slot: usize,
@@ -789,7 +762,7 @@ impl SparseCore {
                     let cb: Vec<f64> = self.basis.iter().map(|&c| costs[c]).collect();
                     let y = self.btran(&cb);
                     d = vec![0.0f64; self.ncols];
-                    self.price_segment(0, self.ncols, &y, costs, allow_art, &mut d);
+                    self.price_segment(0, &y, costs, allow_art, &mut d);
                     // price_segment sign-flips at-upper entries; store
                     // the true reduced costs and flip while scoring.
                     for (j, dj) in d.iter_mut().enumerate() {

@@ -65,7 +65,8 @@ pub struct RunReport {
 }
 
 /// One row of the stage-attribution table: a direct child of the root
-/// span aggregated across all roots of that name.
+/// span aggregated across all roots of that name, or the closing
+/// [`UNATTRIBUTED`] row.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageRow {
     /// Child span name.
@@ -77,6 +78,10 @@ pub struct StageRow {
     /// Share of the aggregated root duration, in percent.
     pub share_pct: f64,
 }
+
+/// Stage name of the last stage-attribution row: root time that no
+/// direct child span covers.
+pub const UNATTRIBUTED: &str = "unattributed";
 
 impl RunReport {
     /// Compact JSON.
@@ -90,13 +95,16 @@ impl RunReport {
     }
 
     /// Aggregates the direct children of every root span named `root`
-    /// into a stage-attribution table, ordered by first appearance.
-    /// Share is relative to the summed root durations.
+    /// into a stage-attribution table, ordered by first appearance,
+    /// and closes it with an [`UNATTRIBUTED`] row (summed root time
+    /// minus summed child time, one call per root), so the shares sum
+    /// to 100 %. Share is relative to the summed root durations.
     pub fn stage_attribution(&self, root: &str) -> Vec<StageRow> {
         let mut order: Vec<String> = Vec::new();
         let mut acc: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-        let mut root_total = 0.0;
+        let (mut roots, mut root_total) = (0u64, 0.0);
         for r in self.spans.iter().filter(|s| s.name == root) {
+            roots += 1;
             root_total += r.duration_ms;
             for c in &r.children {
                 if !acc.contains_key(&c.name) {
@@ -107,18 +115,22 @@ impl RunReport {
                 e.1 += c.duration_ms;
             }
         }
-        order
+        let share = |ms: f64| if root_total > 0.0 { 100.0 * ms / root_total } else { 0.0 };
+        let mut rows: Vec<StageRow> = order
             .into_iter()
             .map(|stage| {
                 let (calls, total_ms) = acc[&stage];
-                StageRow {
-                    stage,
-                    calls,
-                    total_ms,
-                    share_pct: if root_total > 0.0 { 100.0 * total_ms / root_total } else { 0.0 },
-                }
+                StageRow { stage, calls, total_ms, share_pct: share(total_ms) }
             })
-            .collect()
+            .collect();
+        let unattributed = root_total - rows.iter().map(|r| r.total_ms).sum::<f64>();
+        rows.push(StageRow {
+            stage: UNATTRIBUTED.into(),
+            calls: roots,
+            total_ms: unattributed,
+            share_pct: share(unattributed),
+        });
+        rows
     }
 
     /// All span names present in the tree (depth-first, deduplicated) —
@@ -235,13 +247,32 @@ mod tests {
 
     #[test]
     fn stage_attribution_aggregates_across_roots() {
+        let mut report = two_epoch_report();
+        // A third root whose children cover only 5 of its 20 ms.
+        report.spans.push(node(
+            "epoch",
+            20.0,
+            20.0,
+            vec![node("detect", 20.0, 2.0, vec![]), node("solve", 30.0, 3.0, vec![])],
+        ));
+        let rows = report.stage_attribution("epoch");
+        let stages: Vec<&str> = rows.iter().map(|r| r.stage.as_str()).collect();
+        assert_eq!(stages, ["detect", "solve", UNATTRIBUTED]);
+        assert_eq!(rows[0].calls, 3);
+        assert!((rows[0].total_ms - 8.0).abs() < 1e-12);
+        assert!((rows[0].share_pct - 20.0).abs() < 1e-9);
+        assert!((rows[1].share_pct - 42.5).abs() < 1e-9);
+        assert_eq!(rows[2].calls, 3);
+        assert!((rows[2].total_ms - 15.0).abs() < 1e-12);
+        assert!((rows[2].share_pct - 37.5).abs() < 1e-9);
+        let total: f64 = rows.iter().map(|r| r.share_pct).sum();
+        assert!((total - 100.0).abs() < 1e-9, "shares sum to {total}");
+        // Fully covered roots leave a zero unattributed row.
         let rows = two_epoch_report().stage_attribution("epoch");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].stage, "detect");
-        assert_eq!(rows[0].calls, 2);
-        assert!((rows[0].total_ms - 6.0).abs() < 1e-12);
+        assert_eq!(rows.len(), 3);
         assert!((rows[0].share_pct - 30.0).abs() < 1e-9);
         assert!((rows[1].share_pct - 70.0).abs() < 1e-9);
+        assert_eq!(rows[2].total_ms, 0.0);
     }
 
     #[test]

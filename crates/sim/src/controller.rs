@@ -82,9 +82,8 @@ pub struct Controller<'a> {
     pub scheme: &'a dyn TeScheme,
     /// Stage latencies.
     pub latency: LatencyModel,
-    /// Worker threads for the TE recompute (`0` = auto). Thread count
-    /// never changes solver *results* (bit-identity across thread
-    /// counts is a repo invariant), only wall-clock.
+    /// Ignored: the LP engine is serial. Kept only because the
+    /// `perfbench` workload still names it in a struct literal.
     pub threads: usize,
     /// LP engine for the TE recompute (default
     /// [`SolverBackend::SparseRevised`]; the dense tableau is the
@@ -252,12 +251,11 @@ impl<'a> Controller<'a> {
     }
 
     /// A solver for `problem` with this controller's engine settings
-    /// (threads, backend, pricing, basis updates) applied: every TE
+    /// (backend, pricing, basis updates) applied: every TE
     /// solve of this controller, or of a [`crate::robust::RobustController`]
     /// wrapping it, starts here.
     pub fn te_solver<'p, 'b, 'c>(&self, problem: &'p TeProblem<'b>) -> TeSolver<'p, 'b, 'c> {
         TeSolver::new(problem)
-            .threads(self.threads)
             .backend(self.backend)
             .pricing(self.pricing)
             .eta_update(self.eta_update)

